@@ -4,9 +4,9 @@
 # disabled observability path stays within PROBE_OVERHEAD_MAX_PCT
 # (default 2%) of the uninstrumented channel throughput, a fuzz smoke
 # pass over the parser/decoder fuzz targets, the fault determinism
-# gate diffing serial-vs-parallel QoS reports byte for byte, the
-# protocol-checker soak (randomized configs replayed under the timing
-# invariant checker and the three-way differential oracle, -race on,
+# gate running one fault scenario twice and diffing the QoS reports
+# byte for byte, the protocol-checker soak (randomized configs replayed
+# under the timing invariant checker and the differential oracle, -race on,
 # seed counts bounded by CHECK_SOAK_CONFIGS / CHECK_ORACLE_CONFIGS),
 # the policy x device matrix gate (every registered scheduling policy
 # on every registered datasheet through the checked differential
@@ -32,9 +32,9 @@
 # falls below the floor checked in at results/BENCH_FLOOR. The floor
 # gate downgrades to a warning when BenchmarkHostCalibration shows the
 # host is detectably slower than the machine that recorded the floor;
-# the allocation gate ("# allocs" lines in BENCH_FLOOR) never
-# downgrades — allocs/op is host-independent, so exceeding a limit is
-# always a code regression.
+# the allocation gate ("# allocs" and "# bytes" lines in BENCH_FLOOR)
+# never downgrades — allocs/op and B/op are host-independent, so
+# exceeding a limit is always a code regression.
 #
 # Usage: ./ci.sh [-quick]
 #   -quick skips the race detector, the benchmarks, the fuzz smoke,
@@ -68,8 +68,8 @@ go test -race ./...
 
 echo "== protocol checker soak =="
 # Randomized workloads replayed with the timing-invariant checker
-# attached, plus the three-way differential oracle (per-burst reference
-# vs coalesced vs parallel engine command streams), both under -race.
+# attached, plus the differential oracle (per-burst reference vs
+# coalesced command streams), both under -race.
 # -count=1 forces a fresh run even when the package test cache is warm;
 # the seed counts are bounded so CI time stays predictable.
 CHECK_SOAK_CONFIGS="${CHECK_SOAK_CONFIGS:-40}" \
@@ -81,7 +81,7 @@ echo "== policy x device matrix gate =="
 # The admissibility contract for scheduling policies and datasheets:
 # every registered policy on every registered device must run a mixed
 # multi-client workload with the timing-invariant checker silent AND
-# replay it bit-identically through all four dispatch strategies of the
+# replay it bit-identically through both dispatch strategies of the
 # differential oracle (coalesce-unsafe policies proving their fast-path
 # fallback). Workload size scales with CHECK_MATRIX_REQS.
 CHECK_MATRIX_REQS="${CHECK_MATRIX_REQS:-200}" \
@@ -105,19 +105,19 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime "${FUZZ_SMOKE_TIME:-5s}" ./inte
 go test -run '^$' -fuzz '^FuzzDecodeSimulateRequest$' -fuzztime "${FUZZ_SMOKE_TIME:-5s}" ./internal/server/
 
 echo "== fault determinism gate =="
-# The flagship fault scenario must produce a byte-identical QoS report
-# whether the channels simulate serially or on parallel goroutines.
+# The flagship fault scenario, run twice with the same seed, must
+# produce byte-identical QoS reports.
 qos_dir=$(mktemp -d)
 trap 'rm -rf "$qos_dir"' EXIT
 fault_flags="-format 1080p30 -channels 2 -fraction 0.02 -fault-seed 1 \
     -fault-drop-channel 1 -fault-read-error-rate 0.005 -fault-stall-rate 0.002 \
     -fault-frames 10"
 # shellcheck disable=SC2086
-go run ./cmd/mcmsim $fault_flags -serial -qos-out "$qos_dir/serial.txt" >/dev/null
+go run ./cmd/mcmsim $fault_flags -qos-out "$qos_dir/first.txt" >/dev/null
 # shellcheck disable=SC2086
-go run ./cmd/mcmsim $fault_flags -qos-out "$qos_dir/parallel.txt" >/dev/null
-if ! cmp "$qos_dir/serial.txt" "$qos_dir/parallel.txt"; then
-    echo "ci: serial and parallel fault runs produced different QoS reports" >&2
+go run ./cmd/mcmsim $fault_flags -qos-out "$qos_dir/second.txt" >/dev/null
+if ! cmp "$qos_dir/first.txt" "$qos_dir/second.txt"; then
+    echo "ci: two runs of the same fault scenario produced different QoS reports" >&2
     exit 1
 fi
 echo "ci: fault determinism OK"
@@ -595,60 +595,67 @@ while [ -e "$bench_json" ]; do
     bench_json="$bench_stem-$n.json"
 done
 raw_out=$(go test -run '^$' \
-    -bench 'BenchmarkRawChannel$|BenchmarkPerBurstRun$|BenchmarkCoalescedRun$|BenchmarkParallelRun$|BenchmarkParallelEngineRun$|BenchmarkSimulate$|BenchmarkSimulateCached$|BenchmarkFullFormatMatrix$|BenchmarkFullFormatMatrixCached$|BenchmarkAnalyticResult$|BenchmarkAutoSweep$' \
+    -bench 'BenchmarkRawChannel$|BenchmarkPerBurstRun$|BenchmarkCoalescedRun$|BenchmarkSimulate$|BenchmarkSimulateCached$|BenchmarkFullFormatMatrix$|BenchmarkFullFormatMatrixCached$|BenchmarkAnalyticResult$|BenchmarkAutoSweep$' \
     -benchmem -benchtime "${BENCH_BENCHTIME:-0.5s}" -count "${BENCH_COUNT:-3}" .)
 echo "$raw_out"
 echo "$raw_out" | awk -v date="$(date +%Y-%m-%d)" '
     /^Benchmark/ {
         name = $1; sub(/-[0-9]+$/, "", name)
-        ns = 0; mbs = 0; alloc = -1
+        ns = 0; mbs = 0; alloc = -1; bytes = -1
         for (i = 2; i <= NF; i++) {
             if ($i == "ns/op") ns = $(i-1)
             if ($i == "MB/s") mbs = $(i-1)
+            if ($i == "B/op") bytes = $(i-1)
             if ($i == "allocs/op") alloc = $(i-1)
         }
         if (!(name in best_ns) || ns < best_ns[name]) best_ns[name] = ns
         if (!(name in best_mbs) || mbs > best_mbs[name]) best_mbs[name] = mbs
         allocs[name] = alloc
+        bytes_op[name] = bytes
         if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
     }
     END {
         printf "{\n  \"date\": \"%s\",\n  \"benchmarks\": {\n", date
         for (i = 1; i <= n; i++) {
             name = order[i]
-            printf "    \"%s\": {\"ns_per_op\": %s, \"mb_per_s\": %s, \"allocs_per_op\": %s}%s\n",
-                name, best_ns[name], best_mbs[name], allocs[name], (i < n ? "," : "")
+            printf "    \"%s\": {\"ns_per_op\": %s, \"mb_per_s\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n",
+                name, best_ns[name], best_mbs[name], bytes_op[name], allocs[name], (i < n ? "," : "")
         }
         printf "  }\n}\n"
     }' > "$bench_json"
 echo "ci: wrote $bench_json"
 
 echo "== allocation gate =="
-# allocs/op is deterministic for a given code path — no host-speed
-# calibration applies, so exceeding a "# allocs <name> <max>" entry in
-# results/BENCH_FLOOR is always a hard failure. Best (minimum) of the
-# BENCH_COUNT runs is compared, mirroring the throughput gate.
+# allocs/op and B/op are deterministic for a given code path — no
+# host-speed calibration applies, so exceeding a "# allocs <name> <max>"
+# or "# bytes <name> <max>" entry in results/BENCH_FLOOR is always a hard
+# failure. Best (minimum) of the BENCH_COUNT runs is compared, mirroring
+# the throughput gate.
 echo "$raw_out" | awk '
     NR == FNR {
-        if ($1 == "#" && $2 == "allocs") limit[$3] = $4
+        if ($1 == "#" && $2 == "allocs") limit["allocs/op", $3] = $4
+        if ($1 == "#" && $2 == "bytes") limit["B/op", $3] = $4
         next
     }
     /^Benchmark/ {
         name = $1; sub(/-[0-9]+$/, "", name)
         for (i = 2; i <= NF; i++)
-            if ($i == "allocs/op" && (!(name in best) || $(i-1) + 0 < best[name])) best[name] = $(i-1)
+            if (($i == "allocs/op" || $i == "B/op") && (!(($i, name) in best) || $(i-1) + 0 < best[$i, name]))
+                best[$i, name] = $(i-1)
     }
     END {
         fail = 0
-        for (name in limit) {
-            if (!(name in best)) {
-                printf "ci: allocation gate: %s has a limit but was not measured\n", name
+        for (key in limit) {
+            split(key, k, SUBSEP)
+            unit = k[1]; name = k[2]
+            if (!(key in best)) {
+                printf "ci: allocation gate: %s has a %s limit but was not measured\n", name, unit
                 fail = 1
                 continue
             }
-            printf "ci: %s %d allocs/op (limit %d)\n", name, best[name], limit[name]
-            if (best[name] + 0 > limit[name] + 0) {
-                printf "ci: %s exceeds its allocation limit — regression\n", name
+            printf "ci: %s %d %s (limit %d)\n", name, best[key], unit, limit[key]
+            if (best[key] + 0 > limit[key] + 0) {
+                printf "ci: %s exceeds its %s limit — regression\n", name, unit
                 fail = 1
             }
         }
@@ -688,19 +695,4 @@ echo "$raw_out" | awk -v floor="$floor" -v mode="$floor_mode" '
         }
     }'
 
-echo "== parallel-dispatch scaling gate =="
-# Parallel dispatch must never be slower than the coalesced serial path
-# it builds on: on multi-core hosts the engine has to win, and on a
-# single-CPU host the GOMAXPROCS guard routes Parallel to the serial
-# path, so the two are the same code and the same speed. Best-of-N MB/s
-# with a small noise margin (PARALLEL_MIN_RATIO, default 0.97).
-echo "$raw_out" | awk -v min="${PARALLEL_MIN_RATIO:-0.97}" '
-    /^BenchmarkCoalescedRun/ { for (i = 2; i <= NF; i++) if ($i == "MB/s" && $(i-1) > coal) coal = $(i-1) }
-    /^BenchmarkParallelRun/  { for (i = 2; i <= NF; i++) if ($i == "MB/s" && $(i-1) > par)  par  = $(i-1) }
-    END {
-        if (coal == 0 || par == 0) { print "ci: parallel gate missing MB/s"; exit 1 }
-        printf "ci: BenchmarkParallelRun %.0f MB/s vs BenchmarkCoalescedRun %.0f MB/s (%.2fx, min %s)\n",
-            par, coal, par / coal, min
-        if (par < min * coal) { print "ci: parallel dispatch slower than coalesced — scaling regression"; exit 1 }
-    }'
 echo "ci: OK"

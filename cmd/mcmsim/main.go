@@ -60,7 +60,6 @@ func main() {
 		faultStall   = flag.Float64("fault-stall-rate", 0, "per-request probability of a controller stall (0 = off)")
 		faultStallMx = flag.Int64("fault-stall-max", 0, "max stall length in cycles (0 = default)")
 		faultFrames  = flag.Int("fault-frames", 8, "frame slots to run in degraded mode (with any -fault-* active)")
-		serial       = flag.Bool("serial", false, "force single-goroutine simulation (results are identical; CI determinism gate)")
 		qosOut       = flag.String("qos-out", "", "write the deterministic QoS report to this file")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -202,8 +201,6 @@ func main() {
 	mc.QueueDepth = *queue
 	mc.RefreshPostpone = *refPost
 	mc.PrechargeOnIdle = *preIdle
-
-	mc.Serial = *serial
 
 	obs, err := probe.NewObserver(*channels, *probeWindow, *traceOut, *metricsOut)
 	if err != nil {
@@ -404,7 +401,7 @@ func runDegraded(w core.Workload, mc core.MemoryConfig, obs *probe.Observer, fra
 			"mux": mc.Mux.String(), "page_policy": mc.Policy.String(),
 			"device":    deviceName(mc.Device),
 			"powerdown": !mc.DisablePowerDown, "probe_window": probeWindow,
-			"serial": mc.Serial, "fault_plan": fmt.Sprintf("%+v", *mc.Faults),
+			"fault_plan": fmt.Sprintf("%+v", *mc.Faults),
 		}
 		man.Workload = map[string]any{
 			"format": res.Format.Name, "level": res.Level.Number,

@@ -7,7 +7,7 @@
 // resolution) until the real-time verdict recovers.
 //
 // Every scenario is deterministic: the same seed produces a byte-identical
-// QoS report, whether the channels simulate serially or in parallel.
+// QoS report on every run.
 package main
 
 import (

@@ -124,28 +124,22 @@ func (ch *Channel) AccessStream(write bool, local int64, stream int, arrival int
 // controller.AccessRun); a reorder window, an attached probe, a fault
 // stream, or a policy that has not declared coalesce-safety falls back to
 // the per-burst path so event streams, fault decisions and policy state
-// stay identical.
+// stay identical. The per-burst fallback attributes every burst to
+// stream 0; memsys only coalesces under coalesce-safe policies, whose
+// stream remap is the identity, and dispatches per burst otherwise.
 func (ch *Channel) AccessRun(write bool, local int64, bursts int, arrival int64) int64 {
-	return ch.AccessRunStream(write, local, bursts, 0, arrival)
-}
-
-// AccessRunStream is AccessRun with the requester's stream identity; the
-// per-burst fallback attributes every burst to the stream. The coalesced
-// fast path only engages for coalesce-safe policies, whose stream remap
-// is the identity, so stream attribution is never lost to coalescing.
-func (ch *Channel) AccessRunStream(write bool, local int64, bursts int, stream int, arrival int64) int64 {
 	if bursts <= 1 {
 		if bursts < 1 {
 			return 0
 		}
-		return ch.AccessStream(write, local, stream, arrival)
+		return ch.Access(write, local, arrival)
 	}
 	if ch.inj != nil || ch.queue.Depth() > 0 || !ch.ctl.CoalesceSafe() ||
 		(ch.ctl.HasProbe() && !ch.ctl.SynthCoalesced()) {
 		burstBytes := ch.ctl.Config().Speed.Geometry.BurstBytes()
 		var end int64
 		for i := 0; i < bursts; i++ {
-			if e := ch.AccessStream(write, local, stream, arrival); e > end {
+			if e := ch.Access(write, local, arrival); e > end {
 				end = e
 			}
 			local += burstBytes

@@ -85,8 +85,8 @@ func New(opt Options) *Set {
 }
 
 // Channel returns channel i's checker as an event sink. Safe to call from
-// memsys construction; each returned sink must only be driven from its
-// channel's simulation goroutine (the same contract as any probe sink).
+// memsys construction; each returned sink must only be driven from the
+// goroutine running its System's Run (the same contract as any probe sink).
 func (s *Set) Channel(i int) probe.Sink {
 	s.mu.Lock()
 	defer s.mu.Unlock()

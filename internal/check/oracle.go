@@ -1,11 +1,10 @@
 // The differential oracle replays one request stream through the
-// simulator's independent dispatch strategies — serial per-burst (the
-// reference), serial coalesced, parallel per-burst and parallel coalesced —
-// and diffs the full per-channel command streams, not just the end
-// statistics. The coalesced arms run with SynthCoalescedEvents so the fast
-// path stays engaged while still emitting its arithmetic reconstruction of
-// the per-burst events; any divergence in an event field, an event count or
-// a result field is a bug in one of the paths.
+// simulator's two dispatch strategies — per-burst (the reference) and
+// burst-coalesced — and diffs the full per-channel command streams, not
+// just the end statistics. The coalesced arm runs with SynthCoalescedEvents
+// so the fast path stays engaged while still emitting its arithmetic
+// reconstruction of the per-burst events; any divergence in an event
+// field, an event count or a result field is a bug in one of the paths.
 package check
 
 import (
@@ -19,17 +18,14 @@ import (
 // Variant names one dispatch strategy of the oracle.
 type Variant struct {
 	Name      string
-	Parallel  bool
 	Coalesced bool
 }
 
-// Variants is the oracle's strategy matrix: the serial per-burst reference
-// plus the three paths that must reproduce it exactly.
+// Variants is the oracle's strategy matrix: the per-burst reference
+// plus the coalesced path that must reproduce it exactly.
 var Variants = []Variant{
-	{Name: "serial/per-burst", Parallel: false, Coalesced: false},
-	{Name: "serial/coalesced", Parallel: false, Coalesced: true},
-	{Name: "parallel/per-burst", Parallel: true, Coalesced: false},
-	{Name: "parallel/coalesced", Parallel: true, Coalesced: true},
+	{Name: "per-burst", Coalesced: false},
+	{Name: "coalesced", Coalesced: true},
 }
 
 // arm is one executed oracle strategy: its event streams and result.
@@ -39,11 +35,11 @@ type arm struct {
 }
 
 // Differential runs reqs through every Variant of cfg and returns an error
-// describing the first divergence from the serial per-burst reference —
+// describing the first divergence from the per-burst reference —
 // the first differing event (with index and both values), a mismatched
-// per-channel event count, or a result-field difference. cfg.Parallel,
-// cfg.NoCoalesce, cfg.SynthCoalescedEvents and cfg.NewProbe are owned by
-// the oracle. Fault plans are rejected: a dropout's dispatch-clock trigger
+// per-channel event count, or a result-field difference. cfg.NoCoalesce,
+// cfg.SynthCoalescedEvents and cfg.NewProbe are owned by the oracle.
+// Fault plans are rejected: a dropout's dispatch-clock trigger
 // is burst-exact only within one dispatch strategy, so faulted runs are
 // compared through the separate checker soak instead.
 func Differential(cfg memsys.Config, reqs []memsys.Request) error {
@@ -68,7 +64,6 @@ func Differential(cfg memsys.Config, reqs []memsys.Request) error {
 
 func runArm(cfg memsys.Config, v Variant, reqs []memsys.Request) (arm, error) {
 	c := cfg
-	c.Parallel = v.Parallel
 	c.NoCoalesce = !v.Coalesced
 	c.SynthCoalescedEvents = v.Coalesced
 	recs := make([]*probe.Recorder, c.Channels)

@@ -1,6 +1,6 @@
 // Randomized soaks: the invariant checker rides along on randomized
 // configurations and workloads (including fault plans) and must stay
-// silent, and the differential oracle proves the four dispatch strategies
+// silent, and the differential oracle proves the two dispatch strategies
 // emit identical command streams on randomized fault-free runs. Config
 // counts scale with CHECK_SOAK_CONFIGS / CHECK_ORACLE_CONFIGS for the CI
 // soak gate.
@@ -38,14 +38,12 @@ func randomConfig(rng *rand.Rand) memsys.Config {
 	dev := devices[rng.Intn(len(devices))]
 	policies := controller.Policies()
 	cfg := memsys.Config{
-		Channels:      []int{1, 2, 4}[rng.Intn(3)],
-		Freq:          dev.Frequencies[rng.Intn(len(dev.Frequencies))],
-		Geometry:      dev.Geometry,
-		Timing:        dev.Timing,
-		Policy:        policies[rng.Intn(len(policies))],
-		PowerDown:     rng.Intn(4) != 0,
-		Parallel:      rng.Intn(2) == 0,
-		ForceParallel: true,
+		Channels:  []int{1, 2, 4}[rng.Intn(3)],
+		Freq:      dev.Frequencies[rng.Intn(len(dev.Frequencies))],
+		Geometry:  dev.Geometry,
+		Timing:    dev.Timing,
+		Policy:    policies[rng.Intn(len(policies))],
+		PowerDown: rng.Intn(4) != 0,
 	}
 	if rng.Intn(3) == 0 {
 		cfg.WriteBufferDepth = 1 << rng.Intn(5)
@@ -159,8 +157,8 @@ func TestCheckerSoak(t *testing.T) {
 	}
 }
 
-// TestDifferentialOracle replays randomized fault-free runs through all
-// four dispatch strategies and requires bit-identical command streams and
+// TestDifferentialOracle replays randomized fault-free runs through both
+// dispatch strategies and requires bit-identical command streams and
 // results (see Differential).
 func TestDifferentialOracle(t *testing.T) {
 	configs := envInt("CHECK_ORACLE_CONFIGS", 100)
@@ -189,7 +187,7 @@ func TestDifferentialOracle(t *testing.T) {
 // workload (multi-client streams included) with the invariant checker
 // attached, then replays the same workload through the differential oracle.
 // A policy is only admissible if its command stream satisfies the device's
-// timing constraints AND all four dispatch strategies reproduce it
+// timing constraints AND both dispatch strategies reproduce it
 // bit-identically — which is exactly the coalesce-safety contract the
 // fast-path guard enforces. CHECK_MATRIX_REQS scales the workload for the
 // CI gate.
@@ -243,7 +241,7 @@ func TestPolicyDeviceMatrix(t *testing.T) {
 					t.Fatalf("%s on %s: %v", policy, dev.Name, err)
 				}
 
-				// Arm 2: all four dispatch strategies must agree.
+				// Arm 2: both dispatch strategies must agree.
 				if err := check.Differential(cfg, reqs); err != nil {
 					t.Fatalf("%s on %s: %v", policy, dev.Name, err)
 				}

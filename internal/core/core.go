@@ -89,11 +89,7 @@ type MemoryConfig struct {
 	// transient read errors, controller stall jitter — see internal/fault).
 	// Nil keeps every hot path fault-free.
 	Faults *fault.Plan
-	// Serial forces single-goroutine execution even for multi-channel
-	// configurations. The per-channel op order is identical either way
-	// (the bit-identical guarantee), so this is a debugging/CI knob: the
-	// determinism gate runs the same fault scenario serial and parallel
-	// and diffs the QoS reports byte for byte.
+	// Deprecated: has no effect; channels always run on the calling goroutine.
 	Serial bool
 }
 
@@ -226,7 +222,7 @@ type Result struct {
 
 	// QoS carries the fault-injection quality-of-service accounting (nil
 	// unless MemoryConfig.Faults is set and enabled). Same seed, same
-	// plan ⇒ byte-identical QoS.Report(), serial or parallel.
+	// plan ⇒ byte-identical QoS.Report().
 	QoS *fault.QoS
 }
 
@@ -296,7 +292,6 @@ func (mc MemoryConfig) memsysConfig() memsys.Config {
 		RefreshPostpone:       mc.RefreshPostpone,
 		PrechargeOnIdle:       mc.PrechargeOnIdle,
 		InterleaveGranularity: mc.InterleaveGranularity,
-		Parallel:              mc.Channels > 1 && !mc.Serial,
 		NewProbe:              mc.NewProbe,
 		Faults:                mc.Faults,
 	}

@@ -67,7 +67,7 @@ const (
 // plan active, reacting to deadline misses by degrading the workload
 // (frame rate, then stabilization, then resolution) instead of failing.
 // The per-frame loop and every fault decision are deterministic: the same
-// seed yields a byte-identical QoS report, serial or parallel.
+// seed yields a byte-identical QoS report.
 func SimulateDegraded(w Workload, mc MemoryConfig, frames int) (DegradedResult, error) {
 	if frames <= 0 {
 		return DegradedResult{}, fmt.Errorf("core: %d frames", frames)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -60,40 +59,6 @@ func TestDegradedDropoutCompletes(t *testing.T) {
 	}
 }
 
-func TestDegradedSerialMatchesParallel(t *testing.T) {
-	w, err := WorkloadFor("1080p30")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.SampleFraction = 0.02
-	plan := dropPlan(t, "1080p30", 0, w.SampleFraction)
-	plan.ReadErrorRate = 0.01
-	plan.StallRate = 0.005
-
-	var results [2]DegradedResult
-	for i, serial := range []bool{true, false} {
-		mc := PaperMemory(4, PaperFrequency)
-		p := *plan
-		mc.Faults = &p
-		mc.Serial = serial
-		res, err := SimulateDegraded(w, mc, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[i] = res
-	}
-	if a, b := results[0].QoS.Report(), results[1].QoS.Report(); a != b {
-		t.Errorf("QoS reports differ serial vs parallel:\n--- serial ---\n%s--- parallel ---\n%s", a, b)
-	}
-	if !reflect.DeepEqual(results[0].PerFrame, results[1].PerFrame) {
-		t.Errorf("per-frame records diverged:\nserial:   %+v\nparallel: %+v",
-			results[0].PerFrame, results[1].PerFrame)
-	}
-	if !reflect.DeepEqual(results[0].Totals, results[1].Totals) {
-		t.Errorf("aggregate stats diverged")
-	}
-}
-
 func TestDegradationLadderEngagesAndRecovers(t *testing.T) {
 	// 1080p30 needs ~4.3 GB/s; one surviving channel peaks at 3.2 GB/s,
 	// so after the dropout every executed frame misses until the ladder
@@ -145,7 +110,6 @@ func TestDegradedRunEmitsFaultEvents(t *testing.T) {
 	}
 	w.SampleFraction = 0.02
 	mc := PaperMemory(2, PaperFrequency)
-	mc.Serial = true // recorders share no locks; keep emission single-threaded
 	mc.Faults = dropPlan(t, "1080p30", 1, w.SampleFraction)
 	recorders := make([]*probe.Recorder, 2)
 	mc.NewProbe = func(ch int) probe.Sink {

@@ -62,7 +62,7 @@ func TestSimulateMetrics(t *testing.T) {
 	if builds+revivals != 3 {
 		t.Errorf("pool builds=%d revivals=%d, want sum 3", builds, revivals)
 	}
-	// The engine meter counted the memsys runs.
+	// memsys counted its runs.
 	if got := counterValue(t, reg, "memsys_runs_total"); got != 3 {
 		t.Errorf("memsys runs = %d, want 3", got)
 	}

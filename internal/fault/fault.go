@@ -9,10 +9,9 @@
 //
 // Determinism contract: all pseudo-random decisions are drawn from
 // per-channel splitmix64 streams derived from (Plan.Seed, channel index),
-// and each channel's decisions depend only on that channel's request order.
-// The parallel simulation preserves per-channel request order, so a seeded
-// faulty run is bit-identical serial vs parallel — the same guarantee the
-// fault-free simulator makes.
+// and each channel's decisions depend only on that channel's request order,
+// so a seeded faulty run is bit-identical from run to run — the same
+// guarantee the fault-free simulator makes.
 package fault
 
 import "fmt"
@@ -216,8 +215,8 @@ func (in *Injector) Reset() {
 }
 
 // ChannelInjector is one channel's fault decision stream. It is driven only
-// from that channel's simulation context (the dispatch loop serially, or
-// the channel's own goroutine in parallel runs), so it needs no locking.
+// from the memsys dispatch loop that owns the channel, so it needs no
+// locking.
 type ChannelInjector struct {
 	plan  *Plan
 	seed  uint64

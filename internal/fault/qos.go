@@ -15,8 +15,8 @@ type Step struct {
 // QoS is the quality-of-service report of a faulty (or fault-free) run:
 // how the recording behaved frame by frame while the fault plan played out
 // and the degradation engine reacted. Every field derives from the
-// deterministic simulation, so two runs with the same seed — serial or
-// parallel — render byte-identical reports.
+// deterministic simulation, so two runs with the same seed render
+// byte-identical reports.
 type QoS struct {
 	// Frames is the number of frame slots evaluated; DroppedFrames the
 	// slots intentionally skipped by frame-rate degradation; LateFrames

@@ -45,21 +45,6 @@ func NewClustered(base Config, specs []ClusterSpec) (*Clustered, error) {
 	return c, nil
 }
 
-// Specs returns the cluster layout.
-func (c *Clustered) Specs() []ClusterSpec { return c.specs }
-
-// Systems returns the per-cluster memory subsystems.
-func (c *Clustered) Systems() []*System { return c.systems }
-
-// TotalChannels returns the channel count across all clusters.
-func (c *Clustered) TotalChannels() int {
-	var n int
-	for _, s := range c.specs {
-		n += s.Channels
-	}
-	return n
-}
-
 // PeakBandwidth returns the aggregate theoretical bandwidth.
 func (c *Clustered) PeakBandwidth() units.Bandwidth {
 	var bw units.Bandwidth

@@ -29,14 +29,18 @@ func TestClusteredLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.TotalChannels(); got != 8 {
-		t.Errorf("total channels = %d, want 8", got)
+	var total int
+	for _, sys := range c.systems {
+		total += len(sys.Channels())
+	}
+	if total != 8 {
+		t.Errorf("total channels = %d, want 8", total)
 	}
 	if got := c.PeakBandwidth().GBps(); got != 25.6 {
 		t.Errorf("peak = %v GB/s, want 25.6", got)
 	}
-	if len(c.Systems()) != 3 || len(c.Specs()) != 3 {
-		t.Errorf("layout accessors wrong: %d systems, %d specs", len(c.Systems()), len(c.Specs()))
+	if len(c.systems) != 3 || len(c.specs) != 3 {
+		t.Errorf("layout wrong: %d systems, %d specs", len(c.systems), len(c.specs))
 	}
 }
 

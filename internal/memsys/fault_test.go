@@ -34,8 +34,9 @@ func TestChannelDropoutReroutesTraffic(t *testing.T) {
 	if run.DropClock < 50 {
 		t.Errorf("DropClock = %d, want >= plan cycle 50", run.DropClock)
 	}
-	if ch, at := s.FailedChannel(); ch != 2 || at != run.DropClock {
-		t.Errorf("System.FailedChannel = (%d,%d), want (2,%d)", ch, at, run.DropClock)
+	if !s.dropped || s.deadChannel != 2 || s.dropClock != run.DropClock {
+		t.Errorf("System dropout state = (%v,%d,%d), want (true,2,%d)",
+			s.dropped, s.deadChannel, s.dropClock, run.DropClock)
 	}
 	// The dead channel saw only the pre-dropout slice of the run; the
 	// survivors carried everything else.
@@ -84,43 +85,6 @@ func TestDropoutPersistsAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestFaultySerialMatchesParallel(t *testing.T) {
-	plan := &fault.Plan{
-		Seed:          99,
-		DropChannel:   0,
-		DropAtCycle:   200,
-		DerateAtCycle: 100,
-		ReadErrorRate: 0.01,
-		StallRate:     0.005,
-	}
-	results := make([]Result, 2)
-	counters := make([]fault.Counters, 2)
-	for i, parallel := range []bool{false, true} {
-		cfg := PaperConfig(4, 400*units.MHz)
-		cfg.Parallel = parallel
-		cfg.ForceParallel = parallel
-		p := *plan
-		cfg.Faults = &p
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, err := s.Run(NewSliceSource(streamReqs(20000)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[i] = run
-		counters[i] = s.Injector().Counters()
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Errorf("faulty serial and parallel runs diverged:\nserial:   %+v\nparallel: %+v",
-			results[0], results[1])
-	}
-	if counters[0] != counters[1] {
-		t.Errorf("fault counters diverged: %+v vs %+v", counters[0], counters[1])
-	}
-}
-
 func TestFaultyResetReplaysRun(t *testing.T) {
 	cfg := PaperConfig(4, 400*units.MHz)
 	cfg.Faults = &fault.Plan{Seed: 7, DropChannel: 3, DropAtCycle: 80, ReadErrorRate: 0.02}
@@ -134,7 +98,7 @@ func TestFaultyResetReplaysRun(t *testing.T) {
 	}
 	c1 := s.Injector().Counters()
 	s.Reset()
-	if ch, _ := s.FailedChannel(); ch != -1 {
+	if s.dropped || s.deadChannel != -1 {
 		t.Fatalf("channel still failed after Reset")
 	}
 	second, err := s.Run(NewSliceSource(streamReqs(4096)))

@@ -6,29 +6,16 @@ import (
 	"repro/internal/metrics"
 )
 
-// engineMeter holds the parallel engine's instruments: batch dispatch
-// volume and granularity. Counting happens at batch handoff (submit), not
-// per op, so the enabled cost is two atomic updates per up-to-32768 ops
-// and the disabled cost is one pointer load per handoff.
-type engineMeter struct {
-	batches  *metrics.Counter
-	batchOps *metrics.Histogram
-	runs     *metrics.Counter
-}
+// activeRunCounter counts System.Run calls process-wide; nil when
+// disabled, so the disabled cost is one pointer load per Run.
+var activeRunCounter atomic.Pointer[metrics.Counter]
 
-// activeEngineMeter is the process-wide engine meter, nil when disabled.
-var activeEngineMeter atomic.Pointer[engineMeter]
-
-// EnableMetrics registers the engine instruments in r and starts
+// EnableMetrics registers the memsys_runs_total counter in r and starts
 // counting; nil disables. Normally called through core.EnableMetrics.
 func EnableMetrics(r *metrics.Registry) {
 	if r == nil {
-		activeEngineMeter.Store(nil)
+		activeRunCounter.Store(nil)
 		return
 	}
-	activeEngineMeter.Store(&engineMeter{
-		batches:  r.Counter("memsys_batches_dispatched_total"),
-		batchOps: r.Histogram("memsys_batch_ops", metrics.SizeBuckets),
-		runs:     r.Counter("memsys_runs_total"),
-	})
+	activeRunCounter.Store(r.Counter("memsys_runs_total"))
 }

@@ -155,9 +155,6 @@ func (h *Histogram) Sum() float64 {
 // wall-time histograms (seconds).
 var DurationBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 
-// SizeBuckets is a power-of-four bound set for count-per-batch histograms.
-var SizeBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536}
-
 // kind tags a registered metric.
 type kind int
 

@@ -16,10 +16,10 @@
 // emitted after the enqueue of the request that ended the gap). Sinks that
 // need a display duration must guard against the negative span; sinks that
 // need exact command timing should derive it from End (see internal/check).
-// Channels are independent: with parallel simulation
-// each channel emits from its own goroutine into its own sink, so a sink
-// returned by a per-channel factory must not share mutable state with its
-// siblings unless it synchronizes internally.
+// Channels are independent: each channel emits into its own sink, in its
+// own dispatch order, from the goroutine that calls memsys.System.Run. A
+// sink shared across Systems that run concurrently must synchronize
+// internally.
 package probe
 
 import "fmt"

@@ -60,7 +60,7 @@ func (e *Epoch) Latency() *stats.Histogram { return &e.lat }
 
 // TimeSeries collects windowed metrics for a fixed number of channels.
 // Attach Channel(i) as channel i's sink; each per-channel collector is
-// independent, so parallel per-channel simulation needs no locking.
+// independent and needs no locking.
 type TimeSeries struct {
 	window int64
 	chans  []*tsChan

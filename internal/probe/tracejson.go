@@ -13,8 +13,8 @@ import (
 )
 
 // Trace collects events for Chrome trace-event export. Attach Channel(i)
-// as channel i's sink; per-channel buffers are independent so parallel
-// simulation needs no locking.
+// as channel i's sink; per-channel buffers are independent and need no
+// locking.
 type Trace struct {
 	chans []*traceChan
 }
